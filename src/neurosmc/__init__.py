@@ -22,18 +22,18 @@ from .model import (
     ml_transition4,
     n_inf,
     ns_to_ms_per_cm2,
-    ou_step,
     process_noise_cov2,
     process_noise_cov4,
     resting_state,
     tau_n,
 )
-from .simulate import Trace, observe, simulate_truth, snr_db
+from .simulate import Trace, observe, simulate_batch, simulate_truth, snr_db
 from .filtering import (
     FilterDivergence,
     FilterOutput,
     ParticleCloud,
     effective_sample_size,
+    initial_cov_diag,
     make_transition,
     mmse_estimate,
     optimal_proposal_moments,
@@ -68,14 +68,14 @@ from .seeding import as_seed_sequence, derive_seed
 __all__ = [
     "__version__",
     "MorrisLecarParams", "SynapticParams", "NoiseConfig", "NumericalDivergence",
-    "m_inf", "n_inf", "tau_n", "ml_transition2", "ml_transition4", "ou_step",
+    "m_inf", "n_inf", "tau_n", "ml_transition2", "ml_transition4",
     "jacobian2", "process_noise_cov2", "process_noise_cov4", "clamp_state",
     "resting_state", "ns_to_ms_per_cm2",
-    "Trace", "simulate_truth", "observe", "snr_db",
+    "Trace", "simulate_batch", "simulate_truth", "observe", "snr_db",
     "ParticleCloud", "FilterOutput", "FilterDivergence",
     "optimal_proposal_moments", "predictive_likelihood", "resample",
     "mmse_estimate", "effective_sample_size", "pf_step", "run_filter",
-    "make_transition",
+    "make_transition", "initial_cov_diag",
     "ParameterSpace", "McmcConfig", "Chain", "apply_parameters", "energy",
     "ram_step", "run_pmcmc", "point_estimates",
     "PcrbSeries", "jacobian2_reduced", "pcrb_step", "pcrb_series",

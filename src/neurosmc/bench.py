@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .bounds import PcrbSeries, pcrb_series
-from .filtering import FilterDivergence, FilterOutput, run_filter
+from .filtering import FilterDivergence, FilterOutput, initial_cov_diag, run_filter
 from .model import (
     MorrisLecarParams,
     NoiseConfig,
@@ -113,10 +113,7 @@ class ExperimentConfig:
         return 2 if self.syn is None else 4
 
     def filter_init(self):
-        diag = [self.x0_sigma_v**2, self.x0_sigma_n**2]
-        if self.syn is not None:
-            diag += [max(self.syn.sigma_e, 1e-6) ** 2, max(self.syn.sigma_i, 1e-6) ** 2]
-        return self.x0.copy(), np.array(diag)
+        return self.x0.copy(), initial_cov_diag(self.x0_sigma_v, self.x0_sigma_n, self.syn)
 
 
 @dataclass

@@ -30,11 +30,10 @@ from .model import (
     MorrisLecarParams,
     NoiseConfig,
     jacobian2,
-    process_noise_cov2,
-    resting_state,
 )
-from .seeding import as_seed_sequence
-from .simulate import simulate_truth
+from .seeding import as_seed_sequence, derive_seed
+from .simulate import simulate_batch
+from .simulate import simulate_truth  # noqa: F401 - nsbench wraps bounds.simulate_truth
 
 __all__ = ["PcrbSeries", "jacobian2_reduced", "pcrb_step", "pcrb_series"]
 
@@ -89,7 +88,7 @@ def pcrb_step(j_prev, jacobians, sigma_x, sigma_y2):
     j_prev : (d, d) symmetric positive definite information matrix.
     jacobians : (m, d, d) transition Jacobians sampled at the previous state,
         averaged internally; a single (d, d) matrix is also accepted.
-    sigma_x : process covariance for this step, length-d diagonal or (d, d).
+    sigma_x : length-d diagonal of the (diagonal) process covariance.
     sigma_y2 : observation-noise variance (voltage coordinate only).
 
     Returns the next information matrix, symmetrized.  Raises
@@ -101,7 +100,9 @@ def pcrb_step(j_prev, jacobians, sigma_x, sigma_y2):
     if jac.ndim == 2:
         jac = jac[None]
     sigma_x = np.asarray(sigma_x, dtype=float)
-    sx_inv = np.diag(1.0 / sigma_x) if sigma_x.ndim == 1 else np.linalg.inv(sigma_x)
+    if sigma_x.shape != (dim,):
+        raise ValueError("sigma_x must be the length-d diagonal of the process covariance")
+    sx_inv = np.diag(1.0 / sigma_x)
 
     d11 = np.einsum("mji,jk,mkl->il", jac, sx_inv, jac) / len(jac)
     d12 = -jac.mean(axis=0).T @ sx_inv
@@ -119,11 +120,12 @@ def pcrb_series(p: MorrisLecarParams, nc: NoiseConfig, n_steps,
                 sensitivity="reduced"):
     """Bound series for the two-state model over ``n_steps`` observations.
 
-    Simulates ``n_trajectories`` independent truths from ``x0`` (per-trial
-    child seeds of ``seed``) and replaces the expectations over the state
-    distribution with trajectory averages.  The voltage process variance at
-    each step is built from the trajectory-averaged squared leak
-    displacement, matching how the filter scales its disturbance model.
+    Simulates ``n_trajectories`` independent truths from ``x0`` in one
+    batch (trajectory i seeded with child i of ``seed``) and replaces the
+    expectations over the state distribution with trajectory averages.  The
+    voltage process variance at each step is built from the
+    trajectory-averaged squared leak displacement, matching how the filter
+    scales its disturbance model.
 
     ``j0`` is the prior information at step 0 (diagonal
     ``(1, 1/0.05^2)`` by default, i.e. unit voltage variance and 0.05
@@ -138,26 +140,20 @@ def pcrb_series(p: MorrisLecarParams, nc: NoiseConfig, n_steps,
     if sensitivity not in SENSITIVITIES:
         raise ValueError("sensitivity must be one of %r" % (SENSITIVITIES,))
     jacobian_fn = jacobian2 if sensitivity == "full" else jacobian2_reduced
-    if x0 is None:
-        x0 = resting_state(p, i_app=0.0)
-    x0 = np.asarray(x0, dtype=float)
     j_k = np.diag(DEFAULT_J0_DIAG) if j0 is None else np.asarray(j0, dtype=float)
 
-    children = as_seed_sequence(seed).spawn(n_trajectories)
-    trajs = np.stack([
-        simulate_truth(p, nc, n_steps, x0=x0, seed=child).states
-        for child in children
-    ])  # (m, T, 2)
-    # prev[k] holds x_k for the step producing J_{k+1}; x_0 occupies slot 0
-    prev = np.concatenate([np.broadcast_to(x0, (n_trajectories, 1, 2)),
-                           trajs[:, :-1, :]], axis=1)
+    ss = as_seed_sequence(seed)
+    trajs, _, x0 = simulate_batch(p, nc, n_steps,
+                                  [derive_seed(ss, i) for i in range(n_trajectories)],
+                                  x0=x0)  # (m, T, 2)
 
     scale2 = (nc.t_s / p.c_m) ** 2
     sigma_y2 = nc.sigma_y**2
     info = np.empty((n_steps, 2, 2))
     bounds = np.empty((n_steps, 2))
     for k in range(n_steps):
-        xk = prev[:, k, :]
+        # the step producing J_{k+1} linearizes at x_k, with x_0 before step 1
+        xk = np.broadcast_to(x0, (n_trajectories, 2)) if k == 0 else trajs[:, k - 1]
         mean_sq_leak = float(np.mean((xk[:, 0] - p.e_l) ** 2))
         sigma_v2 = scale2 * (nc.sigma_i_app**2 + mean_sq_leak * nc.sigma_g_l**2)
         sigma_x = np.array([sigma_v2, nc.sigma_n**2])

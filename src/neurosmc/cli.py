@@ -22,7 +22,7 @@ from . import __version__
 from .bench import ExperimentError, run_experiment
 from .bounds import pcrb_series
 from .config import ConfigError, RunConfig, parse_config
-from .filtering import FilterDivergence, run_filter
+from .filtering import FilterDivergence, initial_cov_diag, run_filter
 from .io import (
     write_chain_csv,
     write_filter_csv,
@@ -71,14 +71,6 @@ def _build_parser():
     return parser
 
 
-def _filter_init(cfg: RunConfig, x0):
-    mean = np.asarray(x0, dtype=float).copy()
-    diag = [cfg.x0_sigma_v**2, cfg.x0_sigma_n**2]
-    if cfg.syn is not None:
-        diag += [max(cfg.syn.sigma_e, 1e-6) ** 2, max(cfg.syn.sigma_i, 1e-6) ** 2]
-    return mean, np.array(diag)
-
-
 def _simulate_pipeline(cfg: RunConfig, seed):
     truth = simulate_truth(cfg.params, cfg.noise, cfg.n_steps, s=cfg.syn,
                            seed=derive_seed(seed, 0, 0))
@@ -94,12 +86,12 @@ def _cmd_simulate(cfg, out_dir, seed, workers):
 
 def _cmd_filter(cfg, out_dir, seed, workers):
     trace = _simulate_pipeline(cfg, seed)
-    x0_mean, x0_cov = _filter_init(cfg, trace.x0)
     out = run_filter(trace, cfg.params, cfg.noise, s=cfg.syn,
                      n_particles=cfg.n_particles, seed=derive_seed(seed, 0, 2),
                      resample_policy=cfg.resample_policy,
                      ess_threshold=cfg.ess_threshold,
-                     x0_mean=x0_mean, x0_cov=x0_cov, sigma_v=cfg.sigma_v)
+                     x0_mean=trace.x0, sigma_v=cfg.sigma_v,
+                     x0_cov=initial_cov_diag(cfg.x0_sigma_v, cfg.x0_sigma_n, cfg.syn))
     paths = [os.path.join(out_dir, "trace.csv"), os.path.join(out_dir, "filter.csv")]
     write_trace_csv(paths[0], trace)
     write_filter_csv(paths[1], out)
@@ -110,13 +102,14 @@ def _cmd_pmcmc(cfg, out_dir, seed, workers):
     if cfg.mcmc is None or cfg.space is None:
         raise ConfigError("the pmcmc subcommand requires an [mcmc] section")
     trace = _simulate_pipeline(cfg, seed)
-    x0_mean, x0_cov = _filter_init(cfg, trace.x0)
     chain, retained = run_pmcmc(trace, cfg.space, cfg.mcmc,
                                 cfg.params, cfg.noise, s=cfg.syn, seed=seed,
                                 n_particles=cfg.n_particles,
                                 resample_policy=cfg.resample_policy,
                                 ess_threshold=cfg.ess_threshold,
-                                x0_mean=x0_mean, x0_cov=x0_cov)
+                                x0_mean=trace.x0,
+                                x0_cov=initial_cov_diag(cfg.x0_sigma_v, cfg.x0_sigma_n,
+                                                        cfg.syn))
     paths = [os.path.join(out_dir, "trace.csv"),
              os.path.join(out_dir, "chain.csv"),
              os.path.join(out_dir, "filter.csv")]

@@ -7,7 +7,7 @@ errors, as are values that violate the owning object's invariants.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,11 +28,9 @@ class ConfigError(ValueError):
     """A configuration file could not be read or failed validation."""
 
 
-_MODEL_KEYS = ("c_m", "g_l", "e_l", "g_ca", "e_ca", "g_k", "e_k",
-               "phi", "v1", "v2", "v3", "v4")
-_NOISE_KEYS = ("t_s", "i_o", "sigma_i_app", "sigma_g_l", "sigma_n", "sigma_y")
-_SYN_FLOAT_KEYS = ("tau_e", "g_e0", "sigma_e", "tau_i", "g_i0", "sigma_i",
-                   "e_e", "e_i")
+_MODEL_KEYS = tuple(f.name for f in fields(MorrisLecarParams))
+_NOISE_KEYS = tuple(f.name for f in fields(NoiseConfig))
+_SYN_FLOAT_KEYS = tuple(f.name for f in fields(SynapticParams))
 _SYN_KEYS = _SYN_FLOAT_KEYS + ("units", "area_um2")
 _FILTER_KEYS = ("n_particles", "resample_policy", "ess_threshold", "sigma_v",
                 "x0_sigma_v", "x0_sigma_n")

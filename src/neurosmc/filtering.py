@@ -40,6 +40,7 @@ __all__ = [
     "pf_step",
     "run_filter",
     "make_transition",
+    "initial_cov_diag",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -103,19 +104,11 @@ class FilterOutput:
 
 
 def _as_cov_diag(sigma_x, dim):
-    """Return (diag, full) views of a process covariance given as 1-D or 2-D."""
+    """The process covariance, which is diagonal, as its length-d diagonal."""
     sigma_x = np.asarray(sigma_x, dtype=float)
-    if sigma_x.ndim == 1:
-        if sigma_x.shape != (dim,):
-            raise ValueError("sigma_x diagonal has wrong length")
-        return sigma_x, None
-    if sigma_x.shape != (dim, dim):
-        raise ValueError("sigma_x must be (d,) or (d, d)")
-    off = sigma_x.copy()
-    np.fill_diagonal(off, 0.0)
-    if not off.any():
-        return np.diag(sigma_x).copy(), None
-    return None, sigma_x
+    if sigma_x.shape != (dim,):
+        raise ValueError("sigma_x must be the length-d diagonal of the process covariance")
+    return sigma_x
 
 
 def optimal_proposal_moments(f_val, y, sigma_x, sigma_y2):
@@ -127,9 +120,8 @@ def optimal_proposal_moments(f_val, y, sigma_x, sigma_y2):
         Deterministic transition applied to the previous particle(s).
     y : float
         Voltage observation at the current step.
-    sigma_x : array_like
-        Process-noise covariance, either a length-d diagonal or a full
-        (d, d) SPD matrix.
+    sigma_x : array_like, (d,)
+        Diagonal of the process-noise covariance.
     sigma_y2 : float
         Observation-noise variance (must be positive).
 
@@ -141,26 +133,14 @@ def optimal_proposal_moments(f_val, y, sigma_x, sigma_y2):
         raise ValueError("sigma_y2 must be positive")
     f_val = np.asarray(f_val, dtype=float)
     dim = f_val.shape[-1]
-    diag, full = _as_cov_diag(sigma_x, dim)
-    if full is None:
-        if (diag <= 0).any():
-            raise ValueError("sigma_x is not invertible")
-        prop_diag = diag.copy()
-        prop_diag[0] = diag[0] * sigma_y2 / (diag[0] + sigma_y2)
-        means = f_val.copy()
-        means[..., 0] = prop_diag[0] * (f_val[..., 0] / diag[0] + y / sigma_y2)
-        return means, np.diag(prop_diag)
-    try:
-        sx_inv = np.linalg.inv(full)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("sigma_x is not invertible") from err
-    prec = sx_inv.copy()
-    prec[0, 0] += 1.0 / sigma_y2
-    cov = np.linalg.inv(prec)
-    cov = 0.5 * (cov + cov.T)
-    rhs = f_val @ sx_inv.T
-    rhs[..., 0] += y / sigma_y2
-    return rhs @ cov.T, cov
+    diag = _as_cov_diag(sigma_x, dim)
+    if (diag <= 0).any():
+        raise ValueError("sigma_x is not invertible")
+    prop_diag = diag.copy()
+    prop_diag[0] = diag[0] * sigma_y2 / (diag[0] + sigma_y2)
+    means = f_val.copy()
+    means[..., 0] = prop_diag[0] * (f_val[..., 0] / diag[0] + y / sigma_y2)
+    return means, np.diag(prop_diag)
 
 
 def predictive_likelihood(f_val, y, sigma_x, sigma_y2):
@@ -174,10 +154,7 @@ def predictive_likelihood(f_val, y, sigma_x, sigma_y2):
 
 
 def _log_predictive(f_val, y, sigma_x, sigma_y2):
-    dim = f_val.shape[-1]
-    diag, full = _as_cov_diag(sigma_x, dim)
-    var_v = diag[0] if full is None else full[0, 0]
-    s_pred = var_v + sigma_y2
+    s_pred = _as_cov_diag(sigma_x, f_val.shape[-1])[0] + sigma_y2
     if s_pred <= 0:
         raise ValueError("predictive variance must be positive")
     resid = y - f_val[..., 0]
@@ -231,13 +208,7 @@ def pf_step(cloud: ParticleCloud, y, sigma_x, sigma_y2, transition, seed=None,
     rng = np.random.default_rng(seed)
     f_val = transition(cloud.states)
     means, cov = optimal_proposal_moments(f_val, y, sigma_x, sigma_y2)
-    cov_diag = np.diag(cov)
-    noise = rng.standard_normal(means.shape)
-    off = cov - np.diag(cov_diag)
-    if off.any():
-        proposed = means + noise @ np.linalg.cholesky(cov).T
-    else:
-        proposed = means + noise * np.sqrt(cov_diag)
+    proposed = means + rng.standard_normal(means.shape) * np.sqrt(np.diag(cov))
     if constrain is not None:
         constrain(proposed)
 
@@ -266,6 +237,19 @@ def make_transition(p: MorrisLecarParams, nc: NoiseConfig, s: SynapticParams = N
     return lambda x: ml_transition4(x, nc.i_o, p, s, nc.t_s)
 
 
+def initial_cov_diag(sigma_v, sigma_n, s: SynapticParams = None):
+    """Diagonal covariance of the initial particle cloud.
+
+    ``sigma_v`` and ``sigma_n`` are the voltage and gating standard
+    deviations; tracked conductances spread by their OU stationary sigmas,
+    floored at 1e-6 so that the cloud never starts degenerate.
+    """
+    diag = [sigma_v**2, sigma_n**2]
+    if s is not None:
+        diag += [max(s.sigma_e, 1e-6) ** 2, max(s.sigma_i, 1e-6) ** 2]
+    return np.array(diag)
+
+
 def _default_init(obs0, p, s, x0_mean, x0_cov):
     if x0_mean is None:
         base = [obs0, float(n_inf(obs0, p))]
@@ -274,13 +258,8 @@ def _default_init(obs0, p, s, x0_mean, x0_cov):
         x0_mean = np.array(base)
     else:
         x0_mean = np.asarray(x0_mean, dtype=float)
-    if x0_cov is None:
-        diag = [1.0, 0.05**2]
-        if s is not None:
-            diag += [max(s.sigma_e, 1e-6) ** 2, max(s.sigma_i, 1e-6) ** 2]
-        x0_cov = np.array(diag)
-    else:
-        x0_cov = np.asarray(x0_cov, dtype=float)
+    x0_cov = initial_cov_diag(1.0, 0.05, s) if x0_cov is None else \
+        np.asarray(x0_cov, dtype=float)
     return x0_mean, x0_cov
 
 
@@ -297,9 +276,9 @@ def run_filter(obs: Trace, p: MorrisLecarParams, nc: NoiseConfig,
 
     ``resample_policy`` is ``"always"`` (after every step) or ``"ess"``
     (only when the effective sample size drops below ``ess_threshold * n``).
-    The initial cloud is drawn from N(x0_mean, x0_cov); by default the mean
-    is read off the first observation with the gating variable at steady
-    state, with unit voltage variance and 0.05 gating standard deviation.
+    The initial cloud is drawn from N(x0_mean, diag(x0_cov)); by default the
+    mean is read off the first observation with the gating variable at
+    steady state, and the covariance is ``initial_cov_diag(1.0, 0.05, s)``.
 
     Returns a :class:`FilterOutput`.
     """
@@ -328,10 +307,9 @@ def run_filter(obs: Trace, p: MorrisLecarParams, nc: NoiseConfig,
     x0_mean, x0_cov = _default_init(y[0], p, s, x0_mean, x0_cov)
     if x0_mean.shape != (dim,):
         raise ValueError(f"x0_mean must have shape ({dim},)")
-    if x0_cov.ndim == 1:
-        init = x0_mean + rng.standard_normal((n_particles, dim)) * np.sqrt(x0_cov)
-    else:
-        init = x0_mean + rng.standard_normal((n_particles, dim)) @ np.linalg.cholesky(x0_cov).T
+    if x0_cov.shape != (dim,):
+        raise ValueError(f"x0_cov must be the length-{dim} diagonal of the initial covariance")
+    init = x0_mean + rng.standard_normal((n_particles, dim)) * np.sqrt(x0_cov)
     clamp_state(init)
     cloud = ParticleCloud(init, np.full(n_particles, 1.0 / n_particles))
 

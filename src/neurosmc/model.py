@@ -8,7 +8,6 @@ excitatory/inhibitory conductances are tracked as states.
 """
 
 from dataclasses import dataclass, replace
-import math
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,7 +22,6 @@ __all__ = [
     "tau_n",
     "ml_transition2",
     "ml_transition4",
-    "ou_step",
     "jacobian2",
     "process_noise_cov2",
     "process_noise_cov4",
@@ -222,28 +220,6 @@ def ml_transition4(x, i_app, p: MorrisLecarParams, s: SynapticParams, t_s):
     g_e_next = g_e - (t_s / s.tau_e) * (g_e - s.g_e0)
     g_i_next = g_i - (t_s / s.tau_i) * (g_i - s.g_i0)
     return np.stack([v_next, n_next, g_e_next, g_i_next], axis=-1)
-
-
-def ou_step(g, tau, g0, sigma, t_s, xi, exact=False):
-    """Advance an Ornstein-Uhlenbeck process by one step of length ``t_s``.
-
-    ``xi`` is a standard-normal draw (scalar or array).  The default is the
-    Euler-Maruyama update
-
-        g' = g - (t_s/tau) * (g - g0) + sqrt(2 * sigma^2 * t_s / tau) * xi
-
-    whose stationary variance approaches sigma^2 as t_s -> 0.  With
-    ``exact=True`` the exponential (exact-discretization) update is used
-    instead; it is stable for any step size and has stationary variance
-    exactly sigma^2.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    g = np.asarray(g, dtype=float)
-    if exact:
-        decay = math.exp(-t_s / tau)
-        return g0 + (g - g0) * decay + sigma * math.sqrt(1.0 - decay * decay) * xi
-    return g - (t_s / tau) * (g - g0) + math.sqrt(2.0 * sigma * sigma * t_s / tau) * xi
 
 
 def jacobian2(x, p: MorrisLecarParams, t_s):

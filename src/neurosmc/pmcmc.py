@@ -11,7 +11,7 @@ adapted toward a target acceptance rate with rank-one updates whose step
 size decays like j^-gamma (robust adaptive Metropolis).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import logging
 import math
 
@@ -35,12 +35,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# theta coordinate name -> (which object, field) for building modified models
-_MODEL_FIELDS = ("c_m", "g_l", "e_l", "g_ca", "e_ca", "g_k", "e_k",
-                 "phi", "v1", "v2", "v3", "v4")
-_NOISE_FIELDS = ("sigma_n", "sigma_y", "i_o", "sigma_i_app", "sigma_g_l")
-_SYN_FIELDS = ("tau_e", "g_e0", "sigma_e", "tau_i", "g_i0", "sigma_i",
-               "e_e", "e_i")
+# the model fields a chain may sample, by owning object; the sampling
+# interval t_s is fixed by the recording, so it is never sampled
+_MODEL_FIELDS = tuple(f.name for f in fields(MorrisLecarParams))
+_NOISE_FIELDS = tuple(f.name for f in fields(NoiseConfig) if f.name != "t_s")
+_SYN_FIELDS = tuple(f.name for f in fields(SynapticParams))
 
 
 @dataclass(frozen=True)

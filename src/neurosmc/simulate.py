@@ -10,11 +10,15 @@ from .model import (
     NoiseConfig,
     NumericalDivergence,
     SynapticParams,
+    clamp_state,
+    ml_transition2,
+    ml_transition4,
+    process_noise_cov4,
     resting_state,
 )
-from .seeding import as_seed_sequence
+from .seeding import as_seed_sequence, derive_seed
 
-__all__ = ["Trace", "simulate_truth", "observe", "snr_db"]
+__all__ = ["Trace", "simulate_batch", "simulate_truth", "observe", "snr_db"]
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,68 @@ class Trace:
         return self.t_s * np.arange(1, self.n_steps + 1)
 
 
-def _spawn_streams(seed, n):
-    ss = as_seed_sequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
+def simulate_batch(p: MorrisLecarParams, nc: NoiseConfig, n_steps, seeds,
+                   s: SynapticParams = None, x0=None):
+    """Simulate one trajectory per seed, all advanced together.
+
+    Each step applies :func:`~neurosmc.model.ml_transition2` (or
+    ``ml_transition4`` with synaptic parameters) at the realized current,
+    adds the white gating disturbance and the OU conductance increments,
+    then clamps the state.  The leak disturbance nu_g enters the current as
+    ``i_k - nu_g * (v - e_l)``, i.e. as a per-step offset of g_l.
+
+    Trajectory ``b`` draws its current, leak, gating, g_e and g_i
+    disturbances from child streams 0..4 of ``seeds[b]``, so it equals
+    ``simulate_truth(..., seed=seeds[b])`` whatever else is in the batch.
+
+    ``x0`` is the shared initial state, by default the zero-current rest
+    with the conductances at their means.  Returns ``(states,
+    applied_current, x0)`` of shapes (B, T, d), (B, T) and (d,).  Raises
+    :class:`NumericalDivergence` naming the first step at which any
+    trajectory leaves the finite range (and, in a batch, the trajectory).
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if x0 is None:
+        rest = resting_state(p, i_app=0.0)
+        x0 = rest if s is None else np.concatenate([rest, [s.g_e0, s.g_i0]])
+    x0 = np.asarray(x0, dtype=float)
+    dim = 2 if s is None else 4
+    if x0.shape != (dim,):
+        raise ValueError(f"x0 must have shape ({dim},)")
+    n_batch = len(seeds)
+    # stream 0 is the applied current; noise holds the leak, gating and
+    # (four-state) conductance disturbances, streams 1..dim
+    current = np.empty((n_batch, n_steps))
+    noise = np.empty((dim, n_batch, n_steps))
+    for b, seed in enumerate(seeds):
+        ss = as_seed_sequence(seed)
+        for j, rows in enumerate([current, *noise]):
+            np.random.default_rng(derive_seed(ss, j)).standard_normal(out=rows[b])
+    current *= nc.sigma_i_app
+    current += nc.i_o
+    scales = [nc.sigma_g_l, nc.sigma_n]
+    if s is None:
+        transition = lambda x, i_k: ml_transition2(x, i_k, p, nc.t_s)
+    else:
+        transition = lambda x, i_k: ml_transition4(x, i_k, p, s, nc.t_s)
+        scales += list(np.sqrt(process_noise_cov4(x0[0], nc, p, s)[2:]))
+    noise *= np.reshape(scales, (dim, 1, 1))
+
+    states = np.empty((n_batch, n_steps, dim))
+    x = np.tile(x0, (n_batch, 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            i_k = current[:, k] - noise[0, :, k] * (x[:, 0] - p.e_l)
+            x = transition(x, i_k)
+            x[:, 1:] += noise[1:, :, k].T
+            if not np.isfinite(x).all():
+                b = int(np.argmin(np.isfinite(x).all(axis=1)))
+                raise NumericalDivergence(k + 1, None if n_batch == 1 else
+                                          f"trajectory {b}: state became "
+                                          f"non-finite at step {k + 1}")
+            states[:, k] = clamp_state(x)
+    return states, current, x0
 
 
 def simulate_truth(p: MorrisLecarParams, nc: NoiseConfig, n_steps,
@@ -69,69 +132,15 @@ def simulate_truth(p: MorrisLecarParams, nc: NoiseConfig, n_steps,
     the gating variable (``sigma_n``); with synaptic parameters, the two OU
     conductances get their Euler-Maruyama increments as well.  The gating
     variable is clipped to [0, 1] and conductances to [0, inf) after every
-    step.
+    step.  This is the one-trajectory case of :func:`simulate_batch`.
 
     ``x0`` defaults to the zero-current resting state (with the conductances
     started at their means in the four-state case).  Raises
     :class:`NumericalDivergence` if the state leaves the finite range.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    four_state = s is not None
-    if x0 is None:
-        rest = resting_state(p, i_app=0.0)
-        x0 = np.concatenate([rest, [s.g_e0, s.g_i0]]) if four_state else rest
-    x0 = np.asarray(x0, dtype=float)
-    dim = 4 if four_state else 2
-    if x0.shape != (dim,):
-        raise ValueError(f"x0 must have shape ({dim},)")
-
-    rng_i, rng_g, rng_n, rng_e, rng_i_syn = _spawn_streams(seed, 5)
-    nu_i = rng_i.standard_normal(n_steps) * nc.sigma_i_app
-    nu_g = rng_g.standard_normal(n_steps) * nc.sigma_g_l
-    nu_n = rng_n.standard_normal(n_steps) * nc.sigma_n
-    if four_state:
-        xi_e = rng_e.standard_normal(n_steps) * math.sqrt(2.0 * s.sigma_e**2 * nc.t_s / s.tau_e)
-        xi_i = rng_i_syn.standard_normal(n_steps) * math.sqrt(2.0 * s.sigma_i**2 * nc.t_s / s.tau_i)
-
-    ts = nc.t_s
-    scale = ts / p.c_m
-    states = np.empty((n_steps, dim))
-    i_real = nc.i_o + nu_i
-
-    v = float(x0[0])
-    n = float(x0[1])
-    if four_state:
-        g_e = float(x0[2])
-        g_i = float(x0[3])
-    for k in range(n_steps):
-        try:
-            m = 0.5 * (1.0 + math.tanh((v - p.v1) / p.v2))
-            ninf = 0.5 * (1.0 + math.tanh((v - p.v3) / p.v4))
-            taun = 1.0 / math.cosh((v - p.v3) / (2.0 * p.v4))
-            i_ion = (
-                (p.g_l + nu_g[k]) * (v - p.e_l)
-                + p.g_ca * m * (v - p.e_ca)
-                + p.g_k * n * (v - p.e_k)
-            )
-            if four_state:
-                i_ion += g_e * (v - s.e_e) + g_i * (v - s.e_i)
-            v = v - scale * (i_ion - i_real[k])
-            n = n + ts * p.phi * (ninf - n) / taun + nu_n[k]
-        except OverflowError:
-            raise NumericalDivergence(k + 1) from None
-        n = min(max(n, 0.0), 1.0)
-        states[k, 0] = v
-        states[k, 1] = n
-        if four_state:
-            g_e = max(g_e - (ts / s.tau_e) * (g_e - s.g_e0) + xi_e[k], 0.0)
-            g_i = max(g_i - (ts / s.tau_i) * (g_i - s.g_i0) + xi_i[k], 0.0)
-            states[k, 2] = g_e
-            states[k, 3] = g_i
-        if not (math.isfinite(v) and math.isfinite(n)):
-            raise NumericalDivergence(k + 1)
-
-    return Trace(t_s=ts, states=states, applied_current=i_real, x0=x0, seed=seed)
+    states, current, x0 = simulate_batch(p, nc, n_steps, [seed], s=s, x0=x0)
+    return Trace(t_s=nc.t_s, states=states[0], applied_current=current[0],
+                 x0=x0, seed=seed)
 
 
 def observe(trace: Trace, sigma_y, seed=0):

@@ -70,13 +70,6 @@ class TestPcrbStep:
             assert_allclose(j, j.T, atol=1e-12)
             assert (np.linalg.eigvalsh(j) > 0).all()
 
-    def test_full_covariance_input_matches_diagonal(self):
-        jac = jacobian2(np.array([-20.0, 0.3]), P, 0.25)
-        diag = np.array([0.04, 1e-6])
-        a = pcrb_step(np.eye(2), jac, diag, 1.0)
-        b = pcrb_step(np.eye(2), jac, np.diag(diag), 1.0)
-        assert_allclose(a, b, rtol=1e-12)
-
 
 class TestReducedJacobian:
     def test_only_voltage_self_coupling_differs(self):
@@ -157,6 +150,14 @@ class TestPcrbSeries:
         assert_allclose(a.bounds, b.bounds, rtol=0, atol=0)
         c = pcrb_series(P, NC_1PCT, 60, n_trajectories=10, seed=10)
         assert not np.allclose(a.bounds, c.bounds)
+
+    def test_same_seed_sequence_object_reused(self):
+        ss = np.random.SeedSequence(9)
+        a = pcrb_series(P, NC_1PCT, 60, n_trajectories=10, seed=ss)
+        b = pcrb_series(P, NC_1PCT, 60, n_trajectories=10, seed=ss)
+        assert_allclose(a.bounds, b.bounds, rtol=0, atol=0)
+        c = pcrb_series(P, NC_1PCT, 60, n_trajectories=10, seed=9)
+        assert_allclose(a.bounds, c.bounds, rtol=0, atol=0)
 
     def test_times_and_step_count(self):
         series = pcrb_series(P, NC_1PCT, 8, n_trajectories=5, seed=0)

@@ -24,6 +24,7 @@ from neurosmc.filtering import (
     resample,
     run_filter,
 )
+from neurosmc.bounds import pcrb_step
 from neurosmc.model import MorrisLecarParams, NoiseConfig, ml_transition2
 from neurosmc.seeding import derive_seed
 from neurosmc.simulate import Trace, observe, simulate_truth
@@ -89,30 +90,6 @@ class TestOptimalProposalMoments:
         assert_allclose(means[:, 1:], f[:, 1:], rtol=0, atol=0)
         assert_allclose(np.diag(cov)[1:], sigma_x[1:], rtol=0, atol=0)
 
-    def test_diagonal_matrix_input_matches_vector_input(self):
-        f = np.array([[1.0, 0.5], [-2.0, 0.1]])
-        sigma_x = np.array([0.7, 0.02])
-        m1, c1 = optimal_proposal_moments(f, 0.3, sigma_x, 0.9)
-        m2, c2 = optimal_proposal_moments(f, 0.3, np.diag(sigma_x), 0.9)
-        assert_allclose(m1, m2, rtol=1e-14)
-        assert_allclose(c1, c2, rtol=1e-14)
-
-    def test_full_covariance_against_direct_linear_algebra(self):
-        sigma_x = np.array([[2.0, 0.3], [0.3, 1.0]])
-        sigma_y2 = 0.8
-        y = 1.7
-        f = np.array([[0.4, -0.2], [1.1, 0.6], [-3.0, 0.0]])
-        means, cov = optimal_proposal_moments(f, y, sigma_x, sigma_y2)
-        # conditioning a Gaussian on a noisy view of its first coordinate
-        prec = np.linalg.inv(sigma_x)
-        prec[0, 0] += 1.0 / sigma_y2
-        cov_ref = np.linalg.inv(prec)
-        assert_allclose(cov, cov_ref, rtol=1e-12)
-        for i in range(len(f)):
-            rhs = np.linalg.solve(sigma_x, f[i])
-            rhs[0] += y / sigma_y2
-            assert_allclose(means[i], cov_ref @ rhs, rtol=1e-12)
-
     def test_rejects_nonpositive_observation_variance(self):
         with pytest.raises(ValueError, match="sigma_y2"):
             optimal_proposal_moments(np.zeros(2), 0.0, np.ones(2), 0.0)
@@ -120,6 +97,27 @@ class TestOptimalProposalMoments:
     def test_rejects_singular_process_covariance(self):
         with pytest.raises(ValueError, match="invertible"):
             optimal_proposal_moments(np.zeros(2), 0.0, np.array([0.0, 1.0]), 1.0)
+
+
+# every process and initial covariance is diagonal and passed as its diagonal;
+# a matrix, even a diagonal one, is refused rather than silently reinterpreted
+_FLAT_CLOUD = ParticleCloud(np.zeros((3, 2)), np.full(3, 1.0 / 3.0))
+_OBSERVED = Trace(t_s=0.25, states=np.zeros((3, 2)), applied_current=np.zeros(3),
+                  observations=np.full(3, -60.0), sigma_y=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cov: optimal_proposal_moments(np.zeros(2), 0.3, cov, 0.9),
+    lambda cov: predictive_likelihood(np.zeros(2), 0.3, cov, 0.9),
+    lambda cov: pf_step(_FLAT_CLOUD, 0.3, cov, 0.9, lambda x: x, seed=0),
+    lambda cov: pcrb_step(np.eye(2), np.eye(2), cov, 0.9),
+    lambda cov: run_filter(_OBSERVED, P, NC_1PCT, n_particles=10,
+                           x0_mean=[-60.0, 0.1], x0_cov=cov),
+], ids=["optimal_proposal_moments", "predictive_likelihood", "pf_step",
+        "pcrb_step", "run_filter_x0_cov"])
+def test_matrix_covariance_is_rejected(call):
+    with pytest.raises(ValueError, match="diagonal"):
+        call(np.diag([0.7, 0.02]))
 
 
 class TestPredictiveLikelihood:

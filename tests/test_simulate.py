@@ -1,6 +1,7 @@
 """Tests for ground-truth simulation and the observation model."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from neurosmc.model import (
     ml_transition2,
     resting_state,
 )
-from neurosmc.simulate import Trace, observe, simulate_truth, snr_db
+from neurosmc.simulate import Trace, observe, simulate_batch, simulate_truth, snr_db
 
 P = MorrisLecarParams()
 NC_CLEAN = NoiseConfig()
@@ -90,6 +91,41 @@ class TestSimulateTruth:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             simulate_truth(P, NC_CLEAN, 0, seed=0)
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("syn", [None, SYN], ids=["two_state", "four_state"])
+    def test_rows_equal_lone_runs(self, syn):
+        seeds = [0, 1, 2, np.random.SeedSequence(9)]
+        states, current, x0 = simulate_batch(P, NC_1PCT, 500, seeds, s=syn)
+        assert states.shape == (4, 500, 2 if syn is None else 4)
+        for b, seed in enumerate(seeds):
+            lone = simulate_truth(P, NC_1PCT, 500, s=syn, seed=seed)
+            assert np.array_equal(states[b], lone.states)
+            assert np.array_equal(current[b], lone.applied_current)
+            assert np.array_equal(x0, lone.x0)
+
+    def test_divergence_names_trajectory_and_step(self):
+        # at this step size seed 0 diverges on its own and seeds 1-3 do not
+        nc = NoiseConfig(t_s=6.0, sigma_i_app=200.0, sigma_g_l=0.5, sigma_n=0.01)
+        with pytest.raises(NumericalDivergence) as lone:
+            simulate_truth(P, nc, 200, seed=0)
+        for seed in (1, 2, 3):
+            simulate_truth(P, nc, 200, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalDivergence) as batch:
+                simulate_batch(P, nc, 200, [1, 2, 0, 3])
+        assert batch.value.step == lone.value.step
+        assert f"trajectory 2: state became non-finite at step {lone.value.step}" \
+            in str(batch.value)
+
+    def test_same_seed_sequence_object_reused(self):
+        ss = np.random.SeedSequence(5)
+        a = simulate_truth(P, NC_1PCT, 200, seed=ss)
+        b = simulate_truth(P, NC_1PCT, 200, seed=ss)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.states, simulate_truth(P, NC_1PCT, 200, seed=5).states)
 
 
 class TestObserve:
